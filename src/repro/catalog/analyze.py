@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.catalog.statistics import ColumnStats, Histogram, TableStats
 from repro.catalog.types import DataType
-from repro.storage.dictionary import null_mask
+from repro.storage.dictionary import NULL_CODE, null_mask
 
 #: Number of most-common values retained per column.
 DEFAULT_MCV_SIZE = 10
@@ -29,13 +29,16 @@ def analyze_columns(columns: dict[str, np.ndarray],
                     mcv_size: int = DEFAULT_MCV_SIZE,
                     histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
                     sample_rows: int = DEFAULT_SAMPLE_ROWS,
-                    rng: np.random.Generator | None = None) -> TableStats:
+                    rng: np.random.Generator | None = None,
+                    dictionaries: dict[str, np.ndarray] | None = None
+                    ) -> TableStats:
     """Compute full statistics for a mapping of column name -> numpy array.
 
     Parameters
     ----------
     columns:
-        Column arrays (all the same length).
+        Column arrays (all the same length).  A column named in
+        ``dictionaries`` holds ``int32`` dictionary codes.
     num_rows:
         Total row count; defaults to the length of the first column.
     mcv_size, histogram_buckets, sample_rows:
@@ -44,13 +47,21 @@ def analyze_columns(columns: dict[str, np.ndarray],
     rng:
         Random generator used for sampling large tables; deterministic by
         default.
+    dictionaries:
+        Sorted value dictionary per encoded column.  Encoded columns are
+        analyzed on their codes: NULLs are the NULL code, and NDV and MCV
+        counts come from the codes, decoding only the MCV values.  The
+        dictionary is sorted, so the statistics equal those of the decoded
+        column.
     """
+    dictionaries = dictionaries or {}
     if num_rows is None:
         num_rows = len(next(iter(columns.values()))) if columns else 0
     stats = TableStats(num_rows=num_rows)
     if num_rows == 0:
         for name, values in columns.items():
-            dtype = DataType.from_numpy(np.asarray(values).dtype)
+            dtype = (DataType.STRING if name in dictionaries
+                     else DataType.from_numpy(np.asarray(values).dtype))
             stats.columns[name] = ColumnStats(dtype=dtype, num_rows=0, ndv=0)
         return stats
 
@@ -64,34 +75,40 @@ def analyze_columns(columns: dict[str, np.ndarray],
             sample = values
         stats.columns[name] = _analyze_column(
             sample, total_rows=num_rows, mcv_size=mcv_size,
-            histogram_buckets=histogram_buckets)
+            histogram_buckets=histogram_buckets,
+            dictionary=dictionaries.get(name))
     return stats
 
 
 def analyze_table(table, **kwargs) -> TableStats:
     """Compute full statistics for a :class:`repro.storage.table.DataTable`.
 
-    Dictionary-encoded columns are analyzed over their decoded values
-    (uncached -- ANALYZE is a one-shot whole-column read), so statistics
-    such as MCVs hold real strings regardless of the storage encoding.
-    Mutated tables are analyzed over their **live** rows only (the
-    valid-row mask excludes deleted rows), so a re-ANALYZE after deletes
-    reports the row count and value distribution a rebuilt table would.
+    Dictionary-encoded columns are analyzed on their codes, with MCVs
+    decoded to real strings, so the statistics do not depend on the
+    storage encoding.  Mutated tables are analyzed over their **live**
+    rows only (the valid-row mask excludes deleted rows), so a re-ANALYZE
+    after deletes reports the row count and value distribution a rebuilt
+    table would.
     """
-    columns = {name: table.column_values(name, cache=False)
-               for name in table.columns}
+    columns = dict(table.columns)
     num_rows = table.num_rows
-    if getattr(table, "valid_mask", None) is not None:
+    if table.valid_mask is not None:
         valid = table.valid_row_ids()
         columns = {name: values[valid] for name, values in columns.items()}
         num_rows = len(valid)
-    return analyze_columns(columns, num_rows=num_rows, **kwargs)
+    return analyze_columns(columns, num_rows=num_rows,
+                           dictionaries=table.dictionaries, **kwargs)
 
 
 def _analyze_column(sample: np.ndarray, total_rows: int,
-                    mcv_size: int, histogram_buckets: int) -> ColumnStats:
-    """Analyze one column sample, scaling counts up to ``total_rows``."""
-    dtype = DataType.from_numpy(sample.dtype)
+                    mcv_size: int, histogram_buckets: int,
+                    dictionary: np.ndarray | None = None) -> ColumnStats:
+    """Analyze one column sample, scaling counts up to ``total_rows``.
+
+    With a ``dictionary`` the sample holds its codes.
+    """
+    encoded = dictionary is not None
+    dtype = DataType.STRING if encoded else DataType.from_numpy(sample.dtype)
     sample_size = len(sample)
     if sample_size == 0:
         return ColumnStats(dtype=dtype, num_rows=total_rows, ndv=0)
@@ -101,7 +118,7 @@ def _analyze_column(sample: np.ndarray, total_rows: int,
     # DataType, and float columns use NaN.  The previous
     # ``np.isnan(sample.astype(float))`` crashed on string data reaching
     # the FLOAT branch via object arrays of mixed numerics.
-    nulls = null_mask(sample)
+    nulls = sample == NULL_CODE if encoded else null_mask(sample)
     non_null = sample[~nulls]
     null_fraction = float(nulls.mean()) if sample_size else 0.0
 
@@ -116,6 +133,8 @@ def _analyze_column(sample: np.ndarray, total_rows: int,
     order = np.argsort(counts)[::-1]
     top = order[:mcv_size]
     mcv_values = [uniques[i] for i in top if counts[i] > 1]
+    if encoded:
+        mcv_values = [dictionary[code] for code in mcv_values]
     mcv_fractions = [float(counts[i]) / len(non_null) for i in top if counts[i] > 1]
 
     min_value = max_value = None

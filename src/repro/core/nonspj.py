@@ -39,7 +39,14 @@ def execute_query_tree(root: QueryPlanNode, run_spj: SPJRunner) -> DataTable:
     run_spj:
         Callback executing one SPJ block and returning its result table with
         qualified column names.
+
+    Blocks and operators pass dictionary-encoded columns on as codes; the
+    query's result is decoded here, the one decode point of every run.
     """
+    return _execute_node(root, run_spj).decoded()
+
+
+def _execute_node(root: QueryPlanNode, run_spj: SPJRunner) -> DataTable:
     if isinstance(root, SPJNode):
         return run_spj(root.query)
     if isinstance(root, AggregateNode):
@@ -48,10 +55,12 @@ def execute_query_tree(root: QueryPlanNode, run_spj: SPJRunner) -> DataTable:
             # Make sure the SPJ block keeps the columns the aggregation needs.
             child = run_spj(_with_aggregation_columns(child_node.query, root))
         else:
-            child = execute_query_tree(child_node, run_spj)
-        return group_aggregate(dict(child.columns), root.group_by, root.aggregates)
+            child = _execute_node(child_node, run_spj)
+        return group_aggregate(dict(child.columns), root.group_by,
+                               root.aggregates, child.dictionaries,
+                               num_rows=child.num_rows)
     if isinstance(root, UnionNode):
-        tables = [execute_query_tree(child, run_spj) for child in root.inputs]
+        tables = [_execute_node(child, run_spj) for child in root.inputs]
         return union_all(tables)
     raise TypeError(f"unsupported query tree node {type(root).__name__}")
 

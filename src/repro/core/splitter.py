@@ -20,7 +20,7 @@ each SPJ block and the non-SPJ operators consume the materialized results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,12 +29,7 @@ from repro.catalog.statistics import TableStats
 from repro.core.nonspj import execute_query_tree
 from repro.core.qsa import QSAStrategy, generate_subqueries
 from repro.core.ssa import CostFunction, SubqueryEstimate, select_subquery
-from repro.executor.executor import (
-    ExecutionError,
-    Executor,
-    _scalar_aggregate,
-    group_aggregate,
-)
+from repro.executor.executor import ExecutionError, Executor, group_aggregate
 from repro.executor.joins import JoinOverflowError
 from repro.executor.morsels import MorselCancelled
 from repro.optimizer.optimizer import Optimizer
@@ -149,7 +144,7 @@ class QuerySplitExecutor:
                 temp_name = self.database.register_temp(
                     result.table, stats, subquery.covered_aliases())
                 temp_ref = RelationRef.temp(temp_name, subquery.covered_aliases())
-                remaining = self._substitute(remaining, temp_ref)
+                remaining = self._substitute(remaining, temp_ref, spj)
                 if not remaining:
                     # Every other subquery became redundant after substitution:
                     # the temporary we just built carries the final data.
@@ -186,17 +181,38 @@ class QuerySplitExecutor:
     def _collect_stats(self, table: DataTable) -> tuple[TableStats, float, bool]:
         start = time.perf_counter()
         if self.config.collect_statistics:
-            stats = analyze_columns(dict(table.columns), num_rows=table.num_rows)
+            stats = analyze_columns(dict(table.columns), num_rows=table.num_rows,
+                                    dictionaries=table.dictionaries)
             return stats, time.perf_counter() - start, True
         return (TableStats.row_count_only(table.num_rows),
                 time.perf_counter() - start, False)
 
     @staticmethod
-    def _substitute(remaining: list[SPJQuery], temp: RelationRef) -> list[SPJQuery]:
+    def _substitute(remaining: list[SPJQuery], temp: RelationRef,
+                    spj: SPJQuery) -> list[SPJQuery]:
+        """Replace overlap with ``temp`` in every remaining subquery.
+
+        A substituted subquery also takes on each join predicate of ``spj``
+        that now spans two of its relations: on a cyclic join graph the
+        temp can bring in an alias whose edge to the subquery's other
+        relations lives only in a third subquery, and the temp that later
+        covers both sides would drop that edge as internal.  A predicate
+        spans two relations exactly until the first subquery joining its
+        sides runs, so every join predicate is applied exactly once.
+        """
         substituted = []
         for q in remaining:
             if q.covered_aliases() & temp.covered_aliases:
                 q = q.substitute(temp)
+                owner = {alias: i for i, rel in enumerate(q.relations)
+                         for alias in rel.covered_aliases}
+                spanning = tuple(
+                    pred for pred in spj.join_predicates
+                    if pred not in q.join_predicates
+                    and pred.left.alias in owner and pred.right.alias in owner
+                    and owner[pred.left.alias] != owner[pred.right.alias])
+                if spanning:
+                    q = replace(q, join_predicates=q.join_predicates + spanning)
             # Drop subqueries reduced to a bare re-scan of the temporary.
             if (len(q.relations) == 1 and q.relations[0].is_temp
                     and not q.filters and not q.join_predicates):
@@ -213,11 +229,13 @@ class QuerySplitExecutor:
         for ref in spj.output_columns():
             if ref.alias in covered:
                 needed.append(ref)
+        for pred in spj.join_predicates:
+            # A join predicate leaving the subquery is still to be applied.
+            inside = [ref for ref in (pred.left, pred.right)
+                      if ref.alias in covered]
+            if len(inside) == 1:
+                needed.extend(inside)
         for other in remaining:
-            for pred in other.join_predicates:
-                for ref in (pred.left, pred.right):
-                    if ref.alias in covered:
-                        needed.append(ref)
             for pred in other.filters:
                 for ref in pred.column_refs():
                     if ref.alias in covered:
@@ -225,10 +243,14 @@ class QuerySplitExecutor:
         return tuple(dict.fromkeys(needed))
 
     def _finalize(self, result_tables: list[DataTable], spj: SPJQuery) -> DataTable:
-        """Cartesian-merge the result set and apply the final projection."""
+        """Cartesian-merge the result set and apply the final projection.
+
+        Encoded columns stay codes through the merge and the aggregate.
+        """
         if not result_tables:
             return DataTable(name=spj.name, columns={})
         columns = dict(result_tables[0].columns)
+        dictionaries = dict(result_tables[0].dictionaries)
         rows = result_tables[0].num_rows
         for table in result_tables[1:]:
             other_rows = table.num_rows
@@ -236,12 +258,14 @@ class QuerySplitExecutor:
                 name: np.repeat(arr, other_rows) for name, arr in columns.items()}
             for name, arr in table.columns.items():
                 columns[name] = np.tile(arr, rows)
+            dictionaries.update(table.dictionaries)
             rows = rows * other_rows
         if spj.aggregates:
-            return (_scalar_aggregate(columns, spj.aggregates)
-                    if not spj.projections
-                    else group_aggregate(columns, spj.projections, spj.aggregates))
+            return group_aggregate(columns, spj.projections, spj.aggregates,
+                                   dictionaries, num_rows=rows)
         if spj.projections:
             wanted = {ref.qualified for ref in spj.projections}
             columns = {name: arr for name, arr in columns.items() if name in wanted}
-        return DataTable(name=spj.name, columns=columns)
+        return DataTable(name=spj.name, columns=columns,
+                         dictionaries={name: d for name, d in dictionaries.items()
+                                       if name in columns})

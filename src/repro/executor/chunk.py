@@ -25,6 +25,14 @@ Two column-source kinds exist:
 All gathers are funneled through a :class:`MaterializationStats` object so
 the late-materialization microbenchmark can compare bytes materialized by
 the two modes.
+
+Two gathers exist.  :meth:`ColumnSource.gather` returns real values (join
+keys need them: two tables' codes index different dictionaries).  The
+output gathers -- :meth:`Chunk.materialize` and :func:`materialize_default`
+-- keep dictionary-encoded columns as ``int32`` codes and return a
+:class:`DataTable` whose ``dictionaries`` reference the stored table's
+dictionary, so temps, ANALYZE and aggregates all work on codes and only
+the query's output is ever decoded.
 """
 
 from __future__ import annotations
@@ -73,6 +81,16 @@ class ColumnSource:
                stats: MaterializationStats | None = None) -> np.ndarray:
         """Materialize one column for the rows this source selects."""
         raise NotImplementedError
+
+    def gather_stored(self, ref: ColumnRef,
+                      stats: MaterializationStats | None = None
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+        """One column in its stored form: ``(data, dictionary)``.
+
+        ``dictionary`` is ``None`` for a column stored as values; for an
+        encoded one, ``data`` holds the ``int32`` codes into it.
+        """
+        return self.gather(ref, stats), None
 
     def take(self, indices: np.ndarray,
              stats: MaterializationStats | None = None) -> "ColumnSource":
@@ -134,6 +152,17 @@ class TableSource(ColumnSource):
         if stats is not None:
             stats.count(data)
         return data
+
+    def gather_stored(self, ref: ColumnRef,
+                      stats: MaterializationStats | None = None
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+        name = self._storage_name(ref)
+        data = self.table.column(name)
+        if self.row_ids is not None:
+            data = data[self.row_ids]
+            if stats is not None:
+                stats.count(data)
+        return data, self.table.dictionaries.get(name)
 
     def take(self, indices: np.ndarray,
              stats: MaterializationStats | None = None) -> "TableSource":
@@ -243,11 +272,14 @@ class Chunk:
         return self.source_for(ref.alias).gather(ref, stats)
 
     def materialize(self, refs: tuple[ColumnRef, ...],
-                    stats: MaterializationStats | None = None
-                    ) -> dict[str, np.ndarray]:
-        """Gather ``refs`` (those the chunk covers) into a column dict."""
-        return {ref.qualified: self.column(ref, stats) for ref in refs
-                if self.covers(ref.alias)}
+                    stats: MaterializationStats | None = None,
+                    name: str = "chunk") -> DataTable:
+        """Gather ``refs`` (those the chunk covers), encoded columns as codes."""
+        table = DataTable(name=name)
+        for ref in refs:
+            if self.covers(ref.alias):
+                _add_stored(table, ref, self.source_for(ref.alias), stats)
+        return table
 
     # ------------------------------------------------------------------
     # Row selection
@@ -272,31 +304,40 @@ def merge_chunks(left: Chunk, left_idx: np.ndarray,
     return Chunk(sources, len(left_idx))
 
 
+def _add_stored(table: DataTable, ref: ColumnRef, source: ColumnSource,
+                stats: MaterializationStats | None) -> None:
+    """Gather ``ref`` from ``source`` into ``table`` in its stored form."""
+    data, dictionary = source.gather_stored(ref, stats)
+    table.columns[ref.qualified] = data
+    if dictionary is not None:
+        table.dictionaries[ref.qualified] = dictionary
+
+
 def materialize_default(chunk: Chunk, needed: frozenset[ColumnRef],
-                        stats: MaterializationStats | None = None
-                        ) -> dict[str, np.ndarray]:
-    """Materialize every needed column the chunk covers into a column dict.
+                        stats: MaterializationStats | None = None,
+                        name: str = "chunk") -> DataTable:
+    """Materialize every needed column the chunk covers into a table.
 
     A relation none of whose columns are needed contributes a synthetic
     ``alias.__rowid`` column so its row multiplicity is still represented
     (pure existence joins); already-inline sources pass their columns
     through unchanged.  Shared by the executor's default (projection-less)
     output path and by :func:`compact`, so the late and eager modes can
-    never diverge on output semantics.
+    never diverge on output semantics.  Encoded columns stay codes.
     """
-    columns: dict[str, np.ndarray] = {}
+    table = DataTable(name=name)
     for source in chunk.sources:
         if isinstance(source, InlineSource):
-            columns.update(source.columns)
+            table.columns.update(source.columns)
             continue
         covered = sorted((ref for ref in needed if source.covers(ref.alias)),
                          key=lambda ref: ref.qualified)
         if covered:
             for ref in covered:
-                columns[ref.qualified] = source.gather(ref, stats)
+                _add_stored(table, ref, source, stats)
         else:
-            columns.update(source.rowid_columns())
-    return columns
+            table.columns.update(source.rowid_columns())
+    return table
 
 
 def compact(chunk: Chunk, needed: frozenset[ColumnRef],
@@ -307,6 +348,6 @@ def compact(chunk: Chunk, needed: frozenset[ColumnRef],
     (needed) column at every operator boundary -- and exists so the eager
     execution mode stays available for the materialization microbenchmark.
     """
-    columns = materialize_default(chunk, needed, stats)
+    columns = materialize_default(chunk, needed, stats).decoded().columns
     return Chunk((InlineSource(chunk.aliases, columns, chunk.num_rows),),
                  chunk.num_rows)

@@ -32,14 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.executor.aggregates import (  # re-exported for compatibility
-    _aggregate_over,
-    _aggregate_value,
-    _num_rows,
-    _scalar_aggregate,
-    group_aggregate,
-    union_all,
-)
+from repro.executor.aggregates import group_aggregate, union_all
 from repro.executor.chunk import (
     Chunk,
     MaterializationStats,
@@ -218,6 +211,10 @@ class Executor:
         chunks; the plan-driven re-optimization baselines use it to execute a
         physical plan incrementally (subtree by subtree) without recomputing
         already-executed subtrees.
+
+        The result table keeps dictionary-encoded columns as codes, with
+        ``dictionaries`` referencing the stored tables' dictionaries; call
+        :meth:`DataTable.decoded` for values.
         """
         start = time.perf_counter()
         stats = MaterializationStats()
@@ -232,13 +229,10 @@ class Executor:
         output_refs = tuple(dict.fromkeys(plan.output_columns + tuple(extra_columns)))
         if plan.aggregates:
             table = Aggregate(plan).execute(ctx, chunk)
+        elif output_refs:
+            table = chunk.materialize(output_refs, stats, plan.query_name)
         else:
-            if output_refs:
-                columns = {ref.qualified: chunk.column(ref, stats)
-                           for ref in output_refs if chunk.covers(ref.alias)}
-            else:
-                columns = materialize_default(chunk, needed, stats)
-            table = DataTable(name=plan.query_name, columns=columns)
+            table = materialize_default(chunk, needed, stats, plan.query_name)
         wall = time.perf_counter() - start
         return ExecutionResult(table=table, join_rows=join_rows, wall_time=wall,
                                operator_times=dict(ctx.operator_times),

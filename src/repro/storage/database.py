@@ -311,10 +311,16 @@ class Database:
     # ------------------------------------------------------------------
     def register_temp(self, table: DataTable, stats: TableStats,
                       covered_aliases: frozenset[str]) -> str:
-        """Register a materialized intermediate result and return its name."""
+        """Register a materialized intermediate result and return its name.
+
+        Encoded columns stay codes into the base table's dictionary: scans
+        over the temp translate filters into code space and gathers decode
+        lazily, exactly as over the base table.
+        """
         self._temp_counter += 1
         name = f"__temp_{self._temp_counter}"
-        table = DataTable(name=name, columns=table.columns)
+        table = DataTable(name=name, columns=table.columns,
+                          dictionaries=table.dictionaries)
         self._temp_tables[name] = TempTableEntry(
             table=table, stats=stats, covered_aliases=covered_aliases)
         return name

@@ -21,15 +21,17 @@ hot path three things at once:
    the dictionary, an empty prefix range) are recognized as unsatisfiable
    *before* touching any data.
 
-Decoding happens only where real values must surface: ``DataTable.gather``
-(the late-materialization points) and :meth:`DataTable.column_values
+Codes travel on through temps, ANALYZE and aggregates (the output gather
+keeps them and hands on the dictionary).  Decoding happens only where real
+values must surface: ``DataTable.gather`` (join keys),
+:meth:`DataTable.decoded <repro.storage.table.DataTable.decoded>` (the
+query's output) and :meth:`DataTable.column_values
 <repro.storage.table.DataTable.column_values>` for whole-column consumers
-(ANALYZE, the true-cardinality oracle, the differential-test oracle).
+(the true-cardinality oracle, the differential-test oracle).
 
 The :func:`null_mask` helper is the single dtype-aware null test shared by
-the encoder and by ANALYZE (``None`` for object columns, ``NaN`` for
-floats), replacing the float-only ``np.isnan(...astype(float))`` path that
-crashed on string columns.
+the encoder, ANALYZE and the aggregates over value columns (``None`` for
+object columns, ``NaN`` for floats).
 """
 
 from __future__ import annotations
@@ -104,16 +106,18 @@ def encode_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return codes, dictionary
 
 
-def decode_lookup(dictionary: np.ndarray) -> np.ndarray:
-    """Decode table for a code array: ``lookup[codes]`` restores values.
+def decode(codes: np.ndarray, dictionary: np.ndarray) -> np.ndarray:
+    """Decode a code array to its values (NULL codes become ``None``).
 
-    One extra ``None`` slot is appended so the NULL code (``-1``) indexes
-    it via numpy's negative-index semantics.
+    Costs one lookup per code, independent of the dictionary's size.
     """
-    lookup = np.empty(len(dictionary) + 1, dtype=object)
-    lookup[:len(dictionary)] = dictionary
-    lookup[len(dictionary)] = None
-    return lookup
+    codes = np.asarray(codes)
+    valid = codes != NULL_CODE
+    if valid.all():
+        return dictionary[codes]
+    values = np.empty(len(codes), dtype=object)  # filled with None
+    values[valid] = dictionary[codes[valid]]
+    return values
 
 
 def encode_append(codes: np.ndarray, dictionary: np.ndarray,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.storage.dictionary import decode_lookup, encode_append, encode_column
+from repro.storage.dictionary import decode, encode_append, encode_column
 from repro.storage.zonemaps import DEFAULT_BLOCK_SIZE, TableZoneMaps
 
 
@@ -52,7 +52,9 @@ class DataTable:
         Mapping of column name to numpy array.  All arrays must have the same
         length.  Dictionary-encoded string columns (see
         :meth:`encode_strings`) store ``int32`` code arrays here, with the
-        sorted value dictionary in :attr:`dictionaries`.
+        sorted value dictionary in :attr:`dictionaries`.  Temps and
+        executor results gathered from an encoded base column keep its codes
+        and reference the base table's dictionary.
     """
 
     name: str
@@ -114,15 +116,15 @@ class DataTable:
     def gather(self, name: str, row_ids: np.ndarray) -> np.ndarray:
         """Materialize column ``name`` at the given row ids.
 
-        This is the single point where the late-materialization executor
-        turns a selection vector back into real column data; chunks call it
-        exactly once per (column, plan-root) instead of once per operator.
+        This is where the late-materialization executor turns a selection
+        vector back into real values (join keys, index-probe residuals).
         Dictionary-encoded columns are decoded here -- i.e. only for the
-        rows that actually survive to a gather point.
+        rows that actually survive to a gather point; output gathers keep
+        the codes instead (see :mod:`repro.executor.chunk`).
         """
         selected = self.column(name)[row_ids]
         if name in self.dictionaries:
-            return decode_lookup(self.dictionaries[name])[selected]
+            return decode(selected, self.dictionaries[name])
         return selected
 
     # ------------------------------------------------------------------
@@ -148,10 +150,23 @@ class DataTable:
             return self.column(name)
         if name in self._decoded:
             return self._decoded[name]
-        values = decode_lookup(self.dictionaries[name])[self.columns[name]]
+        values = decode(self.columns[name], self.dictionaries[name])
         if cache:
             self._decoded[name] = values
         return values
+
+    def decoded(self) -> "DataTable":
+        """This table with every encoded column decoded to its values.
+
+        The engine keeps string columns as codes from the scan through
+        temps and aggregates; a query's result is decoded here, once,
+        before it is reported (only the rows the query returns).
+        """
+        if not self.dictionaries:
+            return self
+        return DataTable(name=self.name, columns={
+            name: self.column_values(name, cache=False)
+            for name in self.columns})
 
     def encode_strings(self, skip: set[str] | frozenset[str] = frozenset()
                        ) -> list[str]:
@@ -373,14 +388,14 @@ class DataTable:
     # ------------------------------------------------------------------
     @property
     def memory_bytes(self) -> int:
-        """Approximate memory footprint of the table in bytes."""
+        """Approximate memory footprint of the table's own arrays in bytes."""
         total = 0
         for name, arr in self.columns.items():
             if name in self.dictionaries:
-                # int32 codes plus the dictionary payload (pointer + assumed
-                # 24-byte average string per distinct value).
-                dictionary = self.dictionaries[name]
-                total += arr.nbytes + dictionary.nbytes + 24 * len(dictionary)
+                # int32 codes only: the dictionary is shared by the base
+                # table and every temp or result gathered from it, so no
+                # single table is charged for it.
+                total += arr.nbytes
             elif arr.dtype == object:
                 # Assume an average of 24 bytes per string payload plus the
                 # 8-byte pointer stored in the array itself.

@@ -148,12 +148,15 @@ def _join_rows(database, spj: SPJQuery) -> list[dict]:
 # Aggregation
 # ----------------------------------------------------------------------
 def _aggregate_group(tuples: list[dict], aggregates) -> dict:
+    """SQL aggregate semantics: COUNT counts rows; MIN/MAX/SUM/AVG skip
+    NULLs and yield NULL when no non-null value remains."""
     out = {}
     for spec in aggregates:
         if spec.func == "count":
             out[spec.output_name] = len(tuples)
             continue
         values = [t[spec.column.alias][spec.column.column] for t in tuples]
+        values = [v for v in values if not _is_null(v)]
         if not values:
             out[spec.output_name] = None
         elif spec.func == "min":

@@ -26,7 +26,7 @@ from repro.executor.subplan_cache import SubplanCache
 from repro.reopt.registry import make_algorithm
 from repro.serving import EngineServer, ServingConfig
 from repro.storage.database import Database, IndexConfig, MutationError
-from repro.storage.dictionary import NULL_CODE, decode_lookup, encode_append
+from repro.storage.dictionary import NULL_CODE, decode, encode_append
 from repro.storage.table import DataTable
 from repro.storage.zonemaps import TableZoneMaps
 from tests.reference_eval import assert_results_match, canonicalize_table
@@ -128,9 +128,8 @@ class TestDictionaryGrowth:
         assert remapped
         assert list(merged) == ["a", "b", "c", "d"]  # stays sorted
         # Old codes decode to the same strings under the merged dictionary.
-        lookup = decode_lookup(merged)
-        assert list(lookup[old]) == ["d", "b", None]
-        assert list(lookup[new]) == ["a", "d", "c", None]
+        assert list(decode(old, merged)) == ["d", "b", None]
+        assert list(decode(new, merged)) == ["a", "d", "c", None]
 
     def test_non_string_append_rejected(self):
         with pytest.raises(TypeError):
