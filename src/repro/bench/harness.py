@@ -7,10 +7,10 @@ The harness only *measures*; formatting lives in
 :mod:`repro.bench.reporting` and persistence in :mod:`repro.bench.artifacts`.
 
 Measured time is the executor wall-clock time plus materialization and
-statistics-collection time; planner time is excluded for *all* algorithms
-because the pure-Python DP planner is disproportionately slow compared to
-PostgreSQL's C planner and would otherwise dominate the measurements (see
-EXPERIMENTS.md for the full accounting discussion).
+statistics-collection time; planner time is excluded for *all* algorithms,
+because the pure-Python planner's constant factors are not PostgreSQL's.
+Each report still carries it as ``planner_time`` (see EXPERIMENTS.md for
+the full accounting discussion and the measured planner share).
 """
 
 from __future__ import annotations

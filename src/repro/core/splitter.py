@@ -81,6 +81,7 @@ class QuerySplitExecutor:
         # fan-out (MorselCancelled unwinds like QueryTimeout below).
         self.executor.deadline = self._deadline
         planner_before = self.optimizer.invocations
+        planner_time_before = self.optimizer.planner_time
         try:
             final = execute_query_tree(
                 query.root, lambda spj: self._run_spj(spj, report))
@@ -96,6 +97,7 @@ class QuerySplitExecutor:
         finally:
             self.executor.deadline = None
             report.planner_invocations = self.optimizer.invocations - planner_before
+            report.planner_time = self.optimizer.planner_time - planner_time_before
             self.database.drop_temp_tables()
         return report
 
@@ -125,8 +127,8 @@ class QuerySplitExecutor:
             subquery = remaining.pop(idx)
 
             extra = self._columns_to_retain(subquery, remaining, spj)
-            plan = self.optimizer.plan(subquery)
-            result = self.executor.execute(plan, extra_columns=extra)
+            result = self.executor.execute(estimates[idx].plan,
+                                           extra_columns=extra)
             report.total_time += result.wall_time
 
             overlapping = [

@@ -82,6 +82,8 @@ class SubqueryEstimate:
     subquery: SPJQuery
     cost: float
     rows: float
+    #: The plan the estimates come from, executed if this subquery is chosen.
+    plan: PhysicalPlan | None = None
 
 
 def select_subquery(estimates: list[SubqueryEstimate],

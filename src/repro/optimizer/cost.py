@@ -117,21 +117,28 @@ class CostModel:
         emit = output_rows * p.cpu_tuple_cost
         return build + probe + emit
 
-    def _index_nl_cost(self, outer_rows, inner_rows, output_rows) -> float:
+    def index_probe_cost(self, inner_rows: float) -> float:
+        """Cost of one outer row's descent into an index over ``inner_rows``.
+
+        A few random page touches worth of work amortized plus
+        per-index-tuple CPU.
+        """
         p = self.params
-        # Each outer row descends the index: a few random page touches worth
-        # of work amortized plus per-index-tuple CPU.
-        per_probe = (p.random_page_cost / p.rows_per_page
-                     + p.cpu_index_tuple_cost * math.log2(max(inner_rows, 2.0)))
-        probes = outer_rows * per_probe
-        emit = output_rows * p.cpu_tuple_cost
+        return (p.random_page_cost / p.rows_per_page
+                + p.cpu_index_tuple_cost * math.log2(max(inner_rows, 2.0)))
+
+    def sort_cost(self, rows: float) -> float:
+        """Cost of sorting one merge-join input of ``rows`` rows."""
+        return rows * self.params.cpu_operator_cost * math.log2(max(rows, 2.0))
+
+    def _index_nl_cost(self, outer_rows, inner_rows, output_rows) -> float:
+        probes = outer_rows * self.index_probe_cost(inner_rows)
+        emit = output_rows * self.params.cpu_tuple_cost
         return probes + emit
 
     def _merge_join_cost(self, outer_rows, inner_rows, output_rows) -> float:
         p = self.params
-        sort = sum(
-            rows * p.cpu_operator_cost * math.log2(max(rows, 2.0))
-            for rows in (outer_rows, inner_rows))
+        sort = self.sort_cost(outer_rows) + self.sort_cost(inner_rows)
         scan = (outer_rows + inner_rows) * p.cpu_tuple_cost
         emit = output_rows * p.cpu_tuple_cost
         return sort + scan + emit

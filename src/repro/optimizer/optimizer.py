@@ -9,12 +9,13 @@ algorithm needs:
   output cardinality ``S(q)``, the two inputs of QuerySplit's subquery
   selection cost functions (Table 2 of the paper).
 
-It also counts planner invocations so the experiments can report
-re-optimization overhead.
+It also counts planner invocations, and the wall seconds they take, so the
+experiments can report re-optimization overhead.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.optimizer.cardinality import CardinalityEstimator, DefaultCardinalityEstimator
@@ -44,13 +45,17 @@ class Optimizer:
         self.cost_model = cost_model or CostModel()
         self.config = config or OptimizerConfig()
         self.invocations = 0
+        #: Wall seconds spent in :meth:`plan`, summed over invocations.
+        self.planner_time = 0.0
 
     def plan(self, query: SPJQuery) -> PhysicalPlan:
         """Produce a physical plan for an SPJ query."""
+        start = time.perf_counter()
         self.invocations += 1
         enumerator = JoinEnumerator(self.database, self.estimator, self.cost_model,
                                     self.config.enumerator)
         root = enumerator.plan(query)
+        self.planner_time += time.perf_counter() - start
         return PhysicalPlan(
             query_name=query.name,
             root=root,
@@ -58,10 +63,16 @@ class Optimizer:
             aggregates=query.aggregates,
         )
 
-    def estimate(self, query: SPJQuery) -> tuple[float, float]:
-        """Return ``(C(q), S(q))``: estimated plan cost and output cardinality."""
+    def estimate(self, query: SPJQuery) -> tuple[float, float, PhysicalPlan]:
+        """Return ``(C(q), S(q), plan)``.
+
+        ``C(q)`` and ``S(q)`` are the estimated cost and output cardinality
+        of ``plan``, the plan :meth:`plan` builds for ``query``.  A caller
+        that goes on to execute ``query`` reuses it rather than planning
+        again.
+        """
         plan = self.plan(query)
-        return plan.est_cost, plan.est_rows
+        return plan.est_cost, plan.est_rows, plan
 
     def with_estimator(self, estimator: CardinalityEstimator) -> "Optimizer":
         """A new optimizer over the same database using a different estimator."""

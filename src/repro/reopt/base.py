@@ -91,6 +91,7 @@ class AlgorithmBase:
         # MorselCancelled, which is handled exactly like QueryTimeout.
         self.executor.deadline = self._deadline
         planner_before = self.optimizer.invocations
+        planner_time_before = self.optimizer.planner_time
         try:
             final = execute_query_tree(
                 query.root, lambda spj: self._run_spj(spj, report))
@@ -106,6 +107,7 @@ class AlgorithmBase:
         finally:
             self.executor.deadline = None
             report.planner_invocations = self.optimizer.invocations - planner_before
+            report.planner_time = self.optimizer.planner_time - planner_time_before
             self.database.drop_temp_tables()
         return report
 
@@ -130,8 +132,16 @@ class AlgorithmBase:
 
     @staticmethod
     def _retained_columns(spj: SPJQuery, aliases: frozenset[str]) -> tuple[ColumnRef, ...]:
-        """Every column of ``spj`` (outputs and predicates) within ``aliases``."""
-        return tuple(ref for ref in spj.referenced_columns() if ref.alias in aliases)
+        """Every column of ``spj`` (outputs and predicates) within ``aliases``.
+
+        Sorted by qualified name: ``referenced_columns`` is a set, and the
+        temp's column order decides which draw of ANALYZE's sampling RNG
+        each column gets, so a set order would make the statistics depend
+        on ``PYTHONHASHSEED``.
+        """
+        return tuple(sorted((ref for ref in spj.referenced_columns()
+                             if ref.alias in aliases),
+                            key=lambda ref: ref.qualified))
 
 
 class NonAdaptiveBaseline(AlgorithmBase):

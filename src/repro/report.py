@@ -45,6 +45,8 @@ class ExecutionReport:
     final_rows: int = 0
     timed_out: bool = False
     planner_invocations: int = 0
+    #: Wall seconds spent planning; not part of ``total_time``.
+    planner_time: float = 0.0
     stats_collections: int = 0
 
     # ------------------------------------------------------------------

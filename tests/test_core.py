@@ -218,6 +218,22 @@ class TestQuerySplitDriver:
         assert report.planner_invocations > 0
         assert all(it.result_rows >= 0 for it in report.iterations)
 
+    def test_each_candidate_planned_once(self, tiny_db, tiny_query, monkeypatch):
+        """The chosen subquery runs the plan its estimate built: one planner
+        call per candidate per iteration, no re-plan."""
+        optimizer = Optimizer(tiny_db)
+        estimated = []
+        original = optimizer.estimate
+
+        def estimate(query):
+            estimated.append(query.name)
+            return original(query)
+
+        monkeypatch.setattr(optimizer, "estimate", estimate)
+        report = QuerySplitExecutor(tiny_db, optimizer).run(tiny_query)
+        assert report.num_iterations == 2
+        assert report.planner_invocations == len(estimated) == 3
+
     def test_statistics_toggle(self, tiny_db, tiny_query):
         with_stats = QuerySplitExecutor(
             tiny_db, Optimizer(tiny_db),

@@ -284,8 +284,9 @@ class TestJoinEnumeration:
                    for j in plan.join_nodes())
 
     def test_estimate_returns_cost_and_rows(self, tiny_db):
-        cost, rows = Optimizer(tiny_db).estimate(five_way_query())
+        cost, rows, plan = Optimizer(tiny_db).estimate(five_way_query())
         assert cost > 0 and rows >= 1
+        assert (cost, rows) == (plan.est_cost, plan.est_rows)
 
     def test_invocation_counter(self, tiny_db):
         optimizer = Optimizer(tiny_db)

@@ -1,8 +1,17 @@
 """Tests for the re-optimization baselines, the registry, and the reports."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
+
 from repro.executor.executor import Executor
+from repro.optimizer.join_enum import JoinEnumerator
 from repro.optimizer.optimizer import Optimizer
 from repro.plan.physical import JoinMethod
 from repro.reopt import (
@@ -179,3 +188,58 @@ class TestReports:
         assert result.report_for("q1").query_name == "q1"
         with pytest.raises(KeyError):
             result.report_for("zz")
+
+    @pytest.mark.parametrize("algorithm", ["Default", "QuerySplit"])
+    def test_planner_time_reported_but_not_in_total(self, tiny_db, tiny_query,
+                                                    monkeypatch, algorithm):
+        delay = 0.2
+        original = JoinEnumerator.plan
+
+        def slow_plan(self, query):
+            time.sleep(delay)
+            return original(self, query)
+
+        monkeypatch.setattr(JoinEnumerator, "plan", slow_plan)
+        report = make_algorithm(algorithm, tiny_db).run(tiny_query)
+        assert report.planner_invocations > 0
+        assert report.planner_time >= delay * report.planner_invocations
+        assert report.total_time < delay
+
+
+#: Plans every query Reopt builds for JOB 28c and prints their estimates.
+_REOPT_28C_PLANS = """
+from repro.bench.harness import HarnessConfig, run_query
+from repro.optimizer.optimizer import Optimizer
+from repro.workloads.imdb import build_imdb_database
+from repro.workloads.job_queries import query_by_name
+
+plans = []
+original = Optimizer.plan
+
+def plan(self, query):
+    result = original(self, query)
+    plans.append([(repr(node.est_rows), repr(node.est_cost))
+                  for node in result.join_nodes()])
+    return result
+
+Optimizer.plan = plan
+run_query(build_imdb_database(scale=0.25), query_by_name("28c"), "Reopt",
+          HarnessConfig(timeout_seconds=None))
+print(plans)
+"""
+
+
+def test_reopt_plans_independent_of_hash_seed():
+    """Reopt's temps keep their columns in a fixed order, so ANALYZE's
+    sampling, and every re-plan after it, is the same under any
+    ``PYTHONHASHSEED``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        runs.append(subprocess.Popen([sys.executable, "-c", _REOPT_28C_PLANS],
+                                     env=env, stdout=subprocess.PIPE, text=True))
+    outputs = [run.communicate(timeout=300)[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert outputs[0].startswith("[[")
+    assert outputs[0] == outputs[1]
