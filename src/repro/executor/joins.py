@@ -1,80 +1,25 @@
 """Low-level vectorized equi-join primitives.
 
 These helpers compute the matching row-index pairs of an equi-join between
-two key arrays without materializing a hash table in Python: both sides are
-sorted once and matched with ``searchsorted``, which keeps the whole join in
-numpy.  They are shared by the executor's hash / merge / index nested-loop
-join operators and by the true-cardinality oracle.
+two key arrays without materializing a hash table in Python: the build
+(right) side is sorted once into a :class:`~repro.storage.index.KeyRuns`,
+the same probe kernel that serves the base-table indexes, and every left
+key is matched against it in numpy -- by direct address on dense integer
+keys, by ``searchsorted`` otherwise.  They are shared by the executor's
+hash / merge join operators and by the true-cardinality oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Hard cap on the number of matches a single equi-join may materialize.
-#: Joins beyond this are the Python-engine analogue of the paper's 1000 s
-#: query timeout: the run is aborted and reported as timed out.
-MAX_JOIN_RESULT_ROWS = 40_000_000
-
-
-class JoinOverflowError(RuntimeError):
-    """Raised when an equi-join would materialize more rows than the cap."""
-
-
-class ProbeSide:
-    """The build side of an equi-join, sorted once and shared read-only.
-
-    Building it is the partial/merge decomposition point of the hash
-    join: after the one-time stable sort, any contiguous slice of the
-    probe keys can be matched independently via :func:`probe_range`, and
-    concatenating the per-slice results in slice order is bit-identical
-    to the whole-input :func:`equi_join_indices` call (the sort fixes the
-    right-index order within each key run, and the left order is the
-    slice order itself).  The arrays are never written after
-    construction, so morsel worker threads share one instance freely.
-    """
-
-    __slots__ = ("order", "sorted_keys")
-
-    def __init__(self, right_keys: np.ndarray):
-        self.order = np.argsort(right_keys, kind="stable")
-        self.sorted_keys = right_keys[self.order]
-
-    def __len__(self) -> int:
-        return len(self.sorted_keys)
-
-
-def probe_range(side: ProbeSide, left_keys: np.ndarray,
-                start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matches of ``left_keys[start:stop]`` against a shared build side.
-
-    Returns ``(left_idx, right_idx)`` with *global* left indices (already
-    offset by ``start``), so ordered concatenation over a partition of
-    ``[0, len(left_keys))`` reproduces the whole-input join verbatim.
-    A single range producing more than :data:`MAX_JOIN_RESULT_ROWS`
-    matches raises :class:`JoinOverflowError` before materializing them;
-    the caller additionally checks the cap on the merged total.
-    """
-    keys = left_keys[start:stop] if (start, stop) != (0, len(left_keys)) \
-        else left_keys
-    lo = np.searchsorted(side.sorted_keys, keys, side="left")
-    hi = np.searchsorted(side.sorted_keys, keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if total > MAX_JOIN_RESULT_ROWS:
-        raise JoinOverflowError(
-            f"equi-join would produce {total} rows "
-            f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
-
-    left_idx = np.repeat(np.arange(start, stop, dtype=np.int64), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    right_sorted_pos = np.repeat(lo, counts) + within
-    right_idx = side.order[right_sorted_pos]
-    return left_idx, right_idx
+# The join-size cap and its error live with the probe kernel; they are
+# re-exported here, as the same objects, for the re-optimization drivers.
+from repro.storage.index import (  # noqa: F401
+    MAX_JOIN_RESULT_ROWS,
+    JoinOverflowError,
+    KeyRuns,
+)
 
 
 def equi_join_indices(left_keys: np.ndarray,
@@ -89,7 +34,7 @@ def equi_join_indices(left_keys: np.ndarray,
         return empty, empty
 
     # Sort the right side once, then locate the matching run of every left key.
-    return probe_range(ProbeSide(right_keys), left_keys, 0, len(left_keys))
+    return KeyRuns(right_keys).probe(left_keys)
 
 
 def multi_key_equi_join(left_keys: list[np.ndarray],

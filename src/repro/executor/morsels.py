@@ -12,7 +12,7 @@ the partial results **in morsel order**.  Two operators fan out this way:
   same ranges in the same order, the merged selection vector is
   bit-identical.
 * **HashJoin probe** -- the build side is sorted once into a shared
-  read-only :class:`~repro.executor.joins.ProbeSide`; each morsel probes
+  read-only :class:`~repro.storage.index.KeyRuns`; each morsel probes
   a contiguous slice of the probe keys and emits matches with *global*
   probe indices, so concatenating the per-morsel pairs in slice order
   reproduces the whole-input join exactly.

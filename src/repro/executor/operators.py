@@ -5,9 +5,9 @@ late-materialized :class:`~repro.executor.chunk.Chunk` inputs:
 
 * :class:`Scan`        -- filtered scan producing a row-id selection vector;
 * :class:`HashJoin`    -- equi-join on gathered key columns (also evaluates
-  MERGE and predicate-carrying NL nodes: the sort/searchsorted kernel in
-  :mod:`repro.executor.joins` serves all of them);
-* :class:`IndexNLJoin` -- index nested-loop join probing a sorted index;
+  MERGE and predicate-carrying NL nodes: the build side becomes a
+  :class:`~repro.storage.index.KeyRuns`, the probe kernel the indexes use);
+* :class:`IndexNLJoin` -- index nested-loop join probing a base-table index;
 * :class:`CrossProduct`-- predicate-less join (guarded Cartesian product);
 * :class:`Aggregate`   -- plan-root aggregation, the point where the
   aggregated columns are finally materialized (encoded ones as codes).
@@ -32,20 +32,14 @@ from repro.executor.chunk import (
     TableSource,
     merge_chunks,
 )
-from repro.executor.joins import (
-    MAX_JOIN_RESULT_ROWS,
-    JoinOverflowError,
-    ProbeSide,
-    combine_key_pair,
-    multi_key_equi_join,
-    probe_range,
-)
+from repro.executor.joins import combine_key_pair, multi_key_equi_join
 from repro.executor.kernels import PredicateCompiler
 from repro.executor.morsels import MorselCounters, MorselScheduler
 from repro.plan.expressions import ColumnRef
 from repro.storage.dictionary import translate_filters
 from repro.plan.physical import JoinNode, PhysicalPlan, PlanNode, ScanNode
 from repro.storage.database import Database
+from repro.storage.index import KeyRuns, check_result_size
 from repro.storage.table import DataTable
 
 #: Guard against accidental cross-product explosions in the executor.
@@ -311,7 +305,7 @@ class HashJoin(Operator):
         """Match the key columns, morsel-parallel over the probe side.
 
         The build (right) side is sorted once into a shared read-only
-        :class:`~repro.executor.joins.ProbeSide`; contiguous slices of
+        :class:`~repro.storage.index.KeyRuns`; contiguous slices of
         the probe keys are matched concurrently and merged in slice
         order, which is bit-identical to the whole-input kernel.  Small
         probes (fewer than two morsels) take the sequential kernel
@@ -329,20 +323,16 @@ class HashJoin(Operator):
             probe_key, build_key = combine_key_pair(left_keys, right_keys)
         else:
             probe_key, build_key = left_keys[0], right_keys[0]
-        side = ProbeSide(build_key)
+        side = KeyRuns(build_key)
 
         def make_task(start: int, stop: int):
-            return lambda: probe_range(side, probe_key, start, stop)
+            return lambda: side.probe(probe_key[start:stop], start)
 
         results = scheduler.run_ordered(
             [make_task(start, stop) for start, stop in morsel_ranges],
             deadline=ctx.deadline)
         ctx.morsels_total += len(results)
-        total = sum(len(part_left) for part_left, _ in results)
-        if total > MAX_JOIN_RESULT_ROWS:
-            raise JoinOverflowError(
-                f"equi-join would produce {total} rows "
-                f"(cap {MAX_JOIN_RESULT_ROWS}); aborting the query")
+        check_result_size(sum(len(part_left) for part_left, _ in results))
         left_idx = np.concatenate([part for part, _ in results])
         right_idx = np.concatenate([part for _, part in results])
         return left_idx, right_idx

@@ -3,8 +3,9 @@
 This replaces the PostgreSQL storage layer used in the paper.  Tables are
 columnar (one numpy array per column) and block-partitioned (per-block zone
 maps drive scan pruning, see :mod:`repro.storage.zonemaps`), indexes are
-sorted permutations that support vectorized equality probes (the analogue of
-B+tree index lookups), and a :class:`~repro.storage.database.Database`
+sorted permutations, with a direct-address table over dense integer keys,
+that support vectorized equality probes (the analogue of B+tree index
+lookups), and a :class:`~repro.storage.database.Database`
 bundles the schema, the base tables, their statistics, the configured
 indexes, and any temporary tables materialized during re-optimization.
 """
